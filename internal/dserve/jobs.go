@@ -204,6 +204,7 @@ func (s *Service) run(job *Job) {
 		} else {
 			manifest, refs = s.persistFailedJob(job, err, finished)
 		}
+		s.Timings.Observe("job.persist", time.Since(finished))
 	}
 
 	s.mu.Lock()
@@ -225,7 +226,6 @@ func (s *Service) run(job *Job) {
 			bj.pins--
 		}
 	}
-	wall := job.Finished.Sub(job.Started)
 	snap := *job
 	s.pruneJobsLocked()
 	s.mu.Unlock()
@@ -243,13 +243,15 @@ func (s *Service) run(job *Job) {
 		term.ResultBytes = res.RetainedBytes()
 	}
 	job.events.Append(term)
+	// job.wall runs to the terminal event, persistence included: it is
+	// what a client waits from start to a final answer.
+	s.Timings.Observe("job.wall", time.Since(snap.Started))
 
 	if err != nil {
 		s.Counters.Add("jobs.failed", 1)
 	} else {
 		s.Counters.Add("jobs.completed", 1)
 	}
-	s.Timings.Observe("job.wall", wall)
 	if job.opts.OnDone != nil {
 		job.opts.OnDone(&snap)
 	}

@@ -11,10 +11,10 @@ import (
 	"negativaml/internal/plan"
 )
 
-// boundedMemo is a pointer-keyed memo for values derived from immutable
-// inputs (install fingerprints, library content digests). It is wiped once
-// it holds max entries: the keys pin their objects against garbage
-// collection, so the memo must not grow unbounded. Concurrent computes for
+// boundedMemo memoizes values derived from immutable inputs (store-image
+// parses keyed by content digest). It is wiped once it holds max entries:
+// the values pin their objects against garbage collection, so the memo
+// must not grow unbounded. Concurrent computes for
 // the same key may run twice; both store the same value, so the race is
 // benign.
 type boundedMemo struct {

@@ -359,7 +359,7 @@ func (s *Service) handlePeerDetect(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if got := s.fingerprint(in); got != req.InstallFP {
+	if got := InstallFingerprint(in); got != req.InstallFP {
 		// The requester's install bytes differ from what this node
 		// generates for the same config — a version skew a profile must
 		// never paper over.

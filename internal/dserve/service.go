@@ -156,18 +156,21 @@ type Service struct {
 	repairStop chan struct{}
 	repairWG   sync.WaitGroup
 
-	// fingerprints memoizes InstallFingerprint per immutable *Install.
-	fingerprints *boundedMemo
 	// restoredLibs memoizes store-image parses per content digest, so
 	// restored jobs sharing libraries (the dependency tail) parse each
 	// image once.
 	restoredLibs *boundedMemo
 }
 
+// installSlot is one entry of the install table: a generated install
+// (built once, under once) or the last ingest of an on-disk tree.
 type installSlot struct {
 	once sync.Once
 	in   *mlframework.Install
 	err  error
+	// tree is the walk an ingested install was built from; nil for
+	// generated installs and for a tree whose last ingest failed.
+	tree *ingest.Result
 }
 
 // NewService builds a service from the config, applying defaults.
@@ -201,7 +204,6 @@ func NewService(cfg Config) *Service {
 		jobs:         map[string]*Job{},
 		installs:     map[string]*installSlot{},
 		costs:        map[string]stageCostEntry{},
-		fingerprints: newBoundedMemo(64),
 		restoredLibs: newBoundedMemo(64),
 		peerSem:      make(chan struct{}, cfg.Workers),
 	}
@@ -492,7 +494,7 @@ func (s *Service) DebloatBatch(in *mlframework.Install, workloads []mlruntime.Wo
 		}
 	}
 	maxSteps := s.effectiveSteps(opt.MaxSteps)
-	fp := s.fingerprint(in)
+	fp := InstallFingerprint(in)
 
 	ids := make([]string, len(workloads))
 	for i := range workloads {
@@ -889,24 +891,14 @@ type stageCostEntry struct {
 
 // install returns the generated install for (framework, tailLibs),
 // generating it at most once and sharing it across jobs — the fleet setting
-// where many workloads target one shared install. The cache is bounded to
-// MaxInstalls entries, evicted oldest-first; a job holding an evicted
-// install keeps using it (installs are immutable), only the cache entry
-// goes.
+// where many workloads target one shared install.
 func (s *Service) install(framework string, tailLibs int) (*mlframework.Install, error) {
 	key := fmt.Sprintf("%s/%d", framework, tailLibs)
 	s.mu.Lock()
 	slot := s.installs[key]
 	if slot == nil {
 		slot = &installSlot{}
-		s.installs[key] = slot
-		s.installOrder = append(s.installOrder, key)
-		for len(s.installOrder) > s.cfg.MaxInstalls {
-			oldest := s.installOrder[0]
-			s.installOrder = s.installOrder[1:]
-			delete(s.installs, oldest)
-			s.Counters.Add("installs.evicted", 1)
-		}
+		s.putInstallLocked(key, slot)
 	}
 	s.mu.Unlock()
 	slot.once.Do(func() {
@@ -918,13 +910,35 @@ func (s *Service) install(framework string, tailLibs int) (*mlframework.Install,
 	return slot.in, slot.err
 }
 
+// putInstallLocked stores slot in the install table under key. The table is
+// bounded to MaxInstalls entries, evicted oldest-first; a replaced entry
+// keeps its place. A job holding an evicted install keeps using it
+// (installs are immutable), only the table entry goes.
+func (s *Service) putInstallLocked(key string, slot *installSlot) {
+	if _, ok := s.installs[key]; !ok {
+		s.installOrder = append(s.installOrder, key)
+	}
+	s.installs[key] = slot
+	for len(s.installOrder) > s.cfg.MaxInstalls {
+		oldest := s.installOrder[0]
+		s.installOrder = s.installOrder[1:]
+		delete(s.installs, oldest)
+		s.Counters.Add("installs.evicted", 1)
+	}
+}
+
 // ingestInstall resolves an ingestion-mode request directory against the
 // configured IngestRoot and materializes the tree as an install. Paths are
 // confined to the root: the join is cleaned and must stay inside it (ingest
 // itself never follows symlinked directories, so a link cannot tunnel out
-// either). Every submit re-reads the tree — on-disk contents may change
-// between submissions, and an unchanged tree re-converges through its
-// content-derived fingerprint and stage keys rather than a path-keyed cache.
+// either).
+//
+// The install table keeps each tree's last walk beside its install, keyed
+// by the absolute directory (generated keys never start with a separator).
+// A resubmit returns that same install when Unchanged finds the tree's
+// bytes unchanged — one parsed install then serves every job on the tree —
+// and otherwise ingests afresh and replaces the entry. Reuse is validated by
+// content alone, never by mtimes or sizes, which an edit can preserve.
 func (s *Service) ingestInstall(rel string) (*mlframework.Install, error) {
 	root := s.cfg.IngestRoot
 	if root == "" {
@@ -938,22 +952,34 @@ func (s *Service) ingestInstall(rel string) (*mlframework.Install, error) {
 	if dir != absRoot && !strings.HasPrefix(dir, absRoot+string(filepath.Separator)) {
 		return nil, fmt.Errorf("dserve: ingest_dir %q escapes the ingest root", rel)
 	}
-	res, err := ingest.Tree(dir, ingest.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("dserve: ingest %s: %w", rel, err)
+	s.mu.Lock()
+	slot := s.installs[dir]
+	s.mu.Unlock()
+	if slot != nil && slot.tree != nil {
+		// A walk error is the rejection Tree reproduces below.
+		if ok, _ := slot.tree.Unchanged(); ok {
+			s.Counters.Add("ingests.reused", 1)
+			return slot.in, nil
+		}
 	}
-	in, err := res.Install()
+	res, err := ingest.Tree(dir, ingest.Options{})
+	var in *mlframework.Install
+	if err == nil {
+		in, err = res.Install()
+	}
+	s.mu.Lock()
+	if err == nil {
+		s.putInstallLocked(dir, &installSlot{in: in, tree: res})
+	} else if _, ok := s.installs[dir]; ok {
+		// The tree no longer ingests: drop the stale walk. A failing
+		// directory never takes a new slot, so bad paths cannot evict.
+		s.installs[dir] = &installSlot{}
+	}
+	s.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("dserve: ingest %s: %w", rel, err)
 	}
 	s.Counters.Add("ingests.trees", 1)
 	s.Counters.Add("ingests.libraries", int64(len(in.LibNames)))
 	return in, nil
-}
-
-// fingerprint memoizes InstallFingerprint per install pointer — installs
-// are immutable (the package's concurrency contract), so hashing the
-// library bytes once per install is enough; warm batches skip the rehash.
-func (s *Service) fingerprint(in *mlframework.Install) string {
-	return s.fingerprints.get(in, func() any { return InstallFingerprint(in) }).(string)
 }

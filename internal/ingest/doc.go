@@ -12,6 +12,13 @@
 // detect → locate → compact → verify stage DAG, the memo tiers, and the
 // cluster ring exactly like generated installs.
 //
+// A file repeating a library's bytes under another name (a versioned
+// symlink, a hardlink, a copy) is an alias of that library, not a second
+// provider. Every file report records the SHA-256 of the bytes it was
+// classified from, and Result.Unchanged re-walks the tree, hashing without
+// parsing, to tell whether a fresh Tree would return the same result — the
+// content check that lets a long-lived node reuse one parsed install.
+//
 // Ingestion is the first code path fed by files this process did not author:
 // every anomaly — symlink loops, truncated ELF headers, unreadable files,
 // missing dependencies — is classified or rejected with an error, never

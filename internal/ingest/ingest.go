@@ -2,12 +2,17 @@ package ingest
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"fmt"
+	"hash"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"negativaml/internal/bufpool"
 	"negativaml/internal/elfx"
 	"negativaml/internal/mlframework"
 )
@@ -65,10 +70,17 @@ type FileReport struct {
 	Size  int64  `json:"size,omitempty"`
 	// Err is the classification failure for corrupt-elf and unreadable.
 	Err string `json:"err,omitempty"`
+	// Digest is the SHA-256 of the bytes the walk classified; zero for
+	// unreadable files, dangling symlinks, and symlinked directories.
+	Digest [sha256.Size]byte `json:"-"`
 	// Soname, Needed, and Machine are set for shared objects.
 	Soname  string   `json:"soname,omitempty"`
 	Needed  []string `json:"needed,omitempty"`
 	Machine uint16   `json:"machine,omitempty"`
+	// AliasOf, set on a shared object, names the library whose identical
+	// bytes this file repeats (a versioned symlink, a hardlink, or a copy):
+	// the tree holds one library for both.
+	AliasOf string `json:"alias_of,omitempty"`
 	// InClosure reports whether the shared object is in the dependency
 	// closure of the roots.
 	InClosure bool `json:"in_closure,omitempty"`
@@ -81,7 +93,7 @@ type Result struct {
 	// Files holds one report per walked file, in walk (sorted-path) order.
 	Files []FileReport
 	// Libs maps each shared object's canonical name (its file name) to the
-	// parsed library.
+	// parsed library. Aliases share their canonical's entry.
 	Libs map[string]*elfx.Library
 	// Roots are the closure roots, in closure order.
 	Roots []string
@@ -94,11 +106,16 @@ type Result struct {
 	Unresolved map[string][]string
 	// Manifest is the tree root's parsed install.json, nil when absent.
 	Manifest *mlframework.Manifest
+
+	opt Options // the walk's bounds, for Unchanged
 }
 
-// readFile is swapped by tests to inject read failures: the suite runs as
+// openFile is swapped by tests to inject read failures: the suite runs as
 // root, where permission bits cannot produce them.
-var readFile = os.ReadFile
+var openFile = os.Open
+
+// errChanged stops a verifying walk at the first difference.
+var errChanged = errors.New("ingest: tree changed")
 
 // Tree walks dir, classifies every file, and resolves the DT_NEEDED
 // dependency closure. It returns an error only for defects of the tree as a
@@ -115,28 +132,70 @@ func Tree(dir string, opt Options) (*Result, error) {
 		Dir:        dir,
 		Libs:       make(map[string]*elfx.Library),
 		Unresolved: make(map[string][]string),
+		opt:        opt,
 	}
-	w := &walker{opt: opt, res: res}
+	w := &walker{opt: opt, res: res, aliases: map[string]string{}, canonPath: map[string]string{}}
 	if err := w.dir(dir, "", 0); err != nil {
 		return nil, err
 	}
-	if err := resolve(res, opt.Entries); err != nil {
+	if err := w.resolve(opt.Entries); err != nil {
 		return nil, err
 	}
-	if m, err := loadManifest(dir, res); err != nil {
-		return nil, err
-	} else {
+	if w.manifest != nil {
+		m, err := mlframework.ParseManifest(w.manifest)
+		if err != nil {
+			return nil, fmt.Errorf("ingest: %w", err)
+		}
 		res.Manifest = m
 	}
 	return res, nil
 }
 
+// Unchanged reports whether walking r.Dir again would classify exactly the
+// files r holds: the same paths in the same order, the same symlink and
+// read outcomes, and byte-identical contents. It re-walks the tree with
+// Tree's walker and bounds but parses nothing: each file streams through
+// SHA-256 in a pooled buffer and is compared with its report's digest, and
+// the walk stops at the first difference. Classification is a function of
+// the path and the bytes, so an unchanged walk means Tree would return an
+// equal Result. Metadata (mtimes, sizes alone) is never trusted — an edit
+// that restores both is still caught by its bytes. The error is the one
+// Tree would now reject the tree with (bounds, an unreadable root).
+func (r *Result) Unchanged() (bool, error) {
+	buf := bufpool.Get(64 << 10)
+	defer bufpool.Put(buf)
+	w := &walker{opt: r.opt, verify: true, prev: r.Files, hash: sha256.New(), buf: buf}
+	switch err := w.dir(r.Dir, "", 0); {
+	case errors.Is(err, errChanged):
+		return false, nil
+	case err != nil:
+		return false, err
+	}
+	return w.seen == len(r.Files), nil
+}
+
 type walker struct {
 	opt Options
 	res *Result
-	// aliases maps every name a library answers to — file name and
-	// DT_SONAME — to its canonical (file) name, for closure resolution.
+	// aliases maps every name a library answers to — file names and
+	// DT_SONAME, its aliases' included — to its canonical (file) name, for
+	// closure resolution.
 	aliases map[string]string
+	// canonPath maps each canonical name to the path of the file that
+	// provides it; every other file answering to it is an alias.
+	canonPath map[string]string
+	// manifest holds the root install.json bytes, read once by the walk.
+	manifest []byte
+
+	// verify makes this a verifying walk (Unchanged): files are hashed,
+	// not classified, and each observation must match the next of prev,
+	// the earlier walk's reports. seen counts the reports matched so far.
+	verify bool
+	prev   []FileReport
+	seen   int
+	hash   hash.Hash
+	buf    []byte
+	sum    [sha256.Size]byte
 }
 
 func (w *walker) dir(abs, rel string, depth int) error {
@@ -148,8 +207,7 @@ func (w *walker) dir(abs, rel string, depth int) error {
 		if rel == "" {
 			return fmt.Errorf("ingest: %w", err)
 		}
-		w.record(FileReport{Path: rel, Class: ClassUnreadable, Err: err.Error()})
-		return nil
+		return w.record(FileReport{Path: rel, Class: ClassUnreadable, Err: err.Error()})
 	}
 	for _, e := range entries { // ReadDir sorts by name: the walk is deterministic
 		childAbs := filepath.Join(abs, e.Name())
@@ -165,13 +223,14 @@ func (w *walker) dir(abs, rel string, depth int) error {
 			fi, err := os.Stat(childAbs)
 			switch {
 			case err != nil:
-				w.record(FileReport{Path: childRel, Class: ClassDanglingSymlink, Err: err.Error()})
+				err = w.record(FileReport{Path: childRel, Class: ClassDanglingSymlink, Err: err.Error()})
 			case fi.IsDir():
-				w.record(FileReport{Path: childRel, Class: ClassSymlinkDir})
+				err = w.record(FileReport{Path: childRel, Class: ClassSymlinkDir})
 			default:
-				if err := w.file(childAbs, childRel, fi.Size(), depth == 0); err != nil {
-					return err
-				}
+				err = w.file(childAbs, childRel, fi.Size(), depth == 0)
+			}
+			if err != nil {
+				return err
 			}
 		case e.IsDir():
 			if err := w.dir(childAbs, childRel, depth+1); err != nil {
@@ -186,86 +245,190 @@ func (w *walker) dir(abs, rel string, depth int) error {
 				return err
 			}
 		}
-		if len(w.res.Files) > w.opt.MaxFiles {
+		if w.files() > w.opt.MaxFiles {
 			return fmt.Errorf("ingest: tree exceeds %d files", w.opt.MaxFiles)
 		}
 	}
 	return nil
 }
 
-// file classifies one regular file (possibly behind a symlink).
+// files counts the files walked so far.
+func (w *walker) files() int {
+	if w.verify {
+		return w.seen
+	}
+	return len(w.res.Files)
+}
+
+// file classifies one regular file (possibly behind a symlink). A verifying
+// walk only hashes it.
 func (w *walker) file(abs, rel string, size int64, atRoot bool) error {
 	rep := FileReport{Path: rel, Size: size}
-	if atRoot && filepath.Base(rel) == mlframework.ManifestName {
-		rep.Class = ClassManifest
-		w.record(rep)
-		return nil
+	if w.verify {
+		if err := w.hashFile(abs); err != nil {
+			rep.Class, rep.Err = ClassUnreadable, err.Error()
+		} else {
+			rep.Digest = w.sum
+		}
+		return w.record(rep)
 	}
-	data, err := readFile(abs)
+	data, err := readFile(abs, size)
+	if atRoot && filepath.Base(rel) == mlframework.ManifestName {
+		if err != nil {
+			return fmt.Errorf("ingest: %w", err)
+		}
+		rep.Class, rep.Digest = ClassManifest, sha256.Sum256(data)
+		w.manifest = data
+		return w.record(rep)
+	}
 	if err != nil {
 		rep.Class, rep.Err = ClassUnreadable, err.Error()
-		w.record(rep)
-		return nil
+		return w.record(rep)
 	}
 	switch {
 	case bytes.HasPrefix(data, []byte{0x7f, 'E', 'L', 'F'}):
 		lib, err := elfx.Parse(filepath.Base(rel), data)
 		if err != nil {
-			rep.Class, rep.Err = ClassCorruptELF, err.Error()
+			rep.Class, rep.Err, rep.Digest = ClassCorruptELF, err.Error(), sha256.Sum256(data)
 			break
 		}
-		rep.Class = ClassSharedObject
+		rep.Class, rep.Digest = ClassSharedObject, lib.ContentDigest()
 		rep.Soname, rep.Needed, rep.Machine = lib.Soname, lib.Needed, lib.Machine
 		if err := w.register(lib, rel); err != nil {
 			return err
 		}
 	case bytes.HasPrefix(data, []byte("#!")):
-		rep.Class = ClassScript
+		rep.Class, rep.Digest = ClassScript, sha256.Sum256(data)
 	default:
-		rep.Class = ClassData
+		rep.Class, rep.Digest = ClassData, sha256.Sum256(data)
 	}
-	w.record(rep)
+	return w.record(rep)
+}
+
+// readFile is os.ReadFile through openFile: one allocation sized from the
+// walk's stat, grown only if the file grew since.
+func readFile(name string, size int64) ([]byte, error) {
+	f, err := openFile(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	data := make([]byte, 0, size+1) // +1: the EOF read needs no regrow
+	for {
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
+}
+
+// hashFile streams one file through the verifying walk's hash and buffer
+// into w.sum.
+func (w *walker) hashFile(name string) error {
+	f, err := openFile(name)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	w.hash.Reset()
+	for {
+		n, err := f.Read(w.buf)
+		w.hash.Write(w.buf[:n])
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+	}
+	w.hash.Sum(w.sum[:0])
 	return nil
 }
 
-func (w *walker) record(rep FileReport) { w.res.Files = append(w.res.Files, rep) }
+// record appends a classified report, or, on a verifying walk, matches the
+// observation against the earlier walk's next report. A hashed file carries
+// no class: its class and any parse error follow from the path and bytes,
+// so path and digest decide (a zero digest matches no hashed file).
+// Everything else — read failures, dangling links, symlinked directories —
+// must repeat exactly.
+func (w *walker) record(rep FileReport) error {
+	if !w.verify {
+		w.res.Files = append(w.res.Files, rep)
+		return nil
+	}
+	if w.seen == len(w.prev) {
+		return errChanged
+	}
+	p := &w.prev[w.seen]
+	w.seen++
+	same := p.Path == rep.Path && p.Size == rep.Size && p.Digest == rep.Digest
+	if rep.Class != "" {
+		same = same && p.Class == rep.Class && p.Err == rep.Err
+	}
+	if !same {
+		return errChanged
+	}
+	return nil
+}
 
 // register indexes a parsed shared object under its file name and soname.
-// Two files answering to the same name make every DT_NEEDED edge to that
-// name ambiguous, which would corrupt the closure — that rejects the tree.
+// A file answering to a name already taken is an alias of that library when
+// its bytes are identical — a versioned symlink, a hardlink, or a copy —
+// and the tree keeps one library for both, named by the file whose name is
+// its soname when there is one (the name the loader and the manifest use).
+// A different provider of a taken name makes every DT_NEEDED edge to it
+// ambiguous, which would corrupt the closure — that rejects the tree.
 func (w *walker) register(lib *elfx.Library, rel string) error {
-	if w.aliases == nil {
-		w.aliases = make(map[string]string)
+	names := []string{lib.Name} // base file name
+	if lib.Soname != "" && lib.Soname != lib.Name {
+		names = append(names, lib.Soname)
 	}
-	canon := lib.Name // base file name
-	if prev, dup := w.aliases[canon]; dup && prev != canon {
-		return fmt.Errorf("ingest: %s: name %q already provided by %s", rel, canon, prev)
-	}
-	if _, dup := w.res.Libs[canon]; dup {
-		return fmt.Errorf("ingest: %s: duplicate library file name %q", rel, canon)
-	}
-	w.res.Libs[canon] = lib
-	w.aliases[canon] = canon
-	if lib.Soname != "" && lib.Soname != canon {
-		if prev, dup := w.aliases[lib.Soname]; dup {
-			return fmt.Errorf("ingest: %s: soname %q already provided by %s", rel, lib.Soname, prev)
+	canon := ""
+	for _, n := range names {
+		prev, taken := w.aliases[n]
+		if !taken {
+			continue
 		}
-		w.aliases[lib.Soname] = canon
+		if (canon != "" && prev != canon) || w.res.Libs[prev].ContentDigest() != lib.ContentDigest() {
+			return fmt.Errorf("ingest: %s: name %q already provided by %s with different content", rel, n, w.canonPath[prev])
+		}
+		canon = prev
+	}
+	switch {
+	case canon == "":
+		canon = lib.Name
+		w.res.Libs[canon], w.canonPath[canon] = lib, rel
+	case lib.Soname == lib.Name && canon != lib.Name:
+		// The alias is the soname-named file: it takes the canonical slot.
+		delete(w.res.Libs, canon)
+		delete(w.canonPath, canon)
+		for n, c := range w.aliases {
+			if c == canon {
+				w.aliases[n] = lib.Name
+			}
+		}
+		canon = lib.Name
+		w.res.Libs[canon], w.canonPath[canon] = lib, rel
+	}
+	for _, n := range names {
+		if _, taken := w.aliases[n]; !taken {
+			w.aliases[n] = canon
+		}
 	}
 	return nil
 }
 
 // resolve computes closure roots and the reachable set over the DT_NEEDED
-// graph, then back-fills InClosure on the file reports.
-func resolve(res *Result, entries []string) error {
-	aliases := make(map[string]string, len(res.Libs))
-	for name, lib := range res.Libs {
-		aliases[name] = name
-		if lib.Soname != "" {
-			aliases[lib.Soname] = name
-		}
-	}
-
+// graph, then back-fills AliasOf and InClosure on the file reports.
+func (w *walker) resolve(entries []string) error {
+	res, aliases := w.res, w.aliases
 	var roots []string
 	if len(entries) > 0 {
 		seen := make(map[string]bool, len(entries))
@@ -323,25 +486,18 @@ func resolve(res *Result, entries []string) error {
 	}
 	res.Roots = roots
 	for i := range res.Files {
-		if res.Files[i].Class == ClassSharedObject {
-			res.Files[i].InClosure = visited[filepath.Base(res.Files[i].Path)]
+		f := &res.Files[i]
+		if f.Class != ClassSharedObject {
+			continue
 		}
+		// A file's base name always maps to its own library's canonical.
+		canon := aliases[filepath.Base(f.Path)]
+		if w.canonPath[canon] != f.Path {
+			f.AliasOf = canon
+		}
+		f.InClosure = visited[canon]
 	}
 	return nil
-}
-
-// loadManifest parses the root install.json when the walk classified one.
-func loadManifest(dir string, res *Result) (*mlframework.Manifest, error) {
-	for _, f := range res.Files {
-		if f.Class == ClassManifest {
-			m, err := mlframework.ReadManifest(dir)
-			if err != nil {
-				return nil, fmt.Errorf("ingest: %w", err)
-			}
-			return m, nil
-		}
-	}
-	return nil, nil
 }
 
 // Install materializes the ingested tree as a debloatable install. The tree
@@ -370,13 +526,6 @@ func (r *Result) Install() (*mlframework.Install, error) {
 	return r.Manifest.Install(r.Libs)
 }
 
-// SharedObjects counts the classified shared objects.
-func (r *Result) SharedObjects() int {
-	n := 0
-	for _, f := range r.Files {
-		if f.Class == ClassSharedObject {
-			n++
-		}
-	}
-	return n
-}
+// SharedObjects counts the tree's distinct shared libraries: aliases count
+// once, with the library they repeat.
+func (r *Result) SharedObjects() int { return len(r.Libs) }

@@ -1,18 +1,23 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"negativaml/internal/cubin"
 	"negativaml/internal/elfx"
 	"negativaml/internal/fatbin"
 	"negativaml/internal/gpuarch"
+	"negativaml/internal/mlframework"
+	"negativaml/internal/negativa"
 )
 
 // multiArchFatbinLib builds a shared object whose fatbin carries cubins for
@@ -69,6 +74,88 @@ func write(t *testing.T, dir, rel string, data []byte) {
 	if err := os.WriteFile(p, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// flat is the small generated install the alias cases lay out on disk,
+// generated once per test binary.
+var flat struct {
+	once sync.Once
+	in   *mlframework.Install
+	err  error
+}
+
+// writeFlat writes the flat install (one file per library, as WriteTo lays
+// it out) into dir.
+func writeFlat(tb testing.TB, dir string) {
+	tb.Helper()
+	flat.once.Do(func() {
+		flat.in, flat.err = mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 3})
+	})
+	if flat.err != nil {
+		tb.Fatal(flat.err)
+	}
+	if err := flat.in.WriteTo(dir); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// assertDebloatsLikeFlat is the alias cases' oracle: the tree's install
+// fingerprints and debloats byte-identically to the flat tree's.
+func assertDebloatsLikeFlat(t *testing.T, res *Result) {
+	t.Helper()
+	got, err := res.Install()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatDir := t.TempDir()
+	writeFlat(t, flatDir)
+	flatRes, err := Tree(flatDir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := flatRes.Install()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if negativa.InstallFingerprint(got) != negativa.InstallFingerprint(want) {
+		t.Fatal("aliased tree fingerprints differently than the flat tree")
+	}
+	opt := negativa.Options{MaxSteps: 2, SkipVerify: true, Workers: 2}
+	wantRep, err := negativa.Debloat(workloadFor(t, want, false), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRep, err := negativa.Debloat(workloadFor(t, got, false), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotRep.Libs) != len(wantRep.Libs) {
+		t.Fatalf("report count %d, want %d", len(gotRep.Libs), len(wantRep.Libs))
+	}
+	for i, wr := range wantRep.Libs {
+		gr := gotRep.Libs[i]
+		wj, gj := *wr, *gr
+		wj.Sparse, gj.Sparse = nil, nil
+		wb, _ := json.Marshal(wj)
+		gb, _ := json.Marshal(gj)
+		if !bytes.Equal(wb, gb) || !bytes.Equal(wr.Debloated(), gr.Debloated()) {
+			t.Errorf("%s: debloat differs from the flat tree's", wr.Name)
+		}
+	}
+}
+
+// failOpen makes every open of a file with the given base name fail with a
+// permission error, for the test's duration.
+func failOpen(t *testing.T, base string) {
+	t.Helper()
+	orig := openFile
+	openFile = func(name string) (*os.File, error) {
+		if filepath.Base(name) == base {
+			return nil, fmt.Errorf("open %s: permission denied", name)
+		}
+		return orig(name)
+	}
+	t.Cleanup(func() { openFile = orig })
 }
 
 func report(t *testing.T, res *Result, path string) *FileReport {
@@ -152,9 +239,17 @@ func TestHostileLayouts(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			// Both the target and the link resolve to ELF files with soname
-			// libreal.so — ambiguous providers reject the tree.
-			wantErr: "libreal.so",
+			// The link resolves to the target's bytes: an alias of the one
+			// library, which keeps the name its soname gives it.
+			check: func(t *testing.T, res *Result) {
+				rep := report(t, res, "liblink.so")
+				if rep.Class != ClassSharedObject || rep.Soname != "libreal.so" || rep.AliasOf != "libreal.so" {
+					t.Errorf("link report: %+v", rep)
+				}
+				if res.SharedObjects() != 1 || !reflect.DeepEqual(res.Closure, []string{"libreal.so"}) {
+					t.Errorf("shared objects %d closure %v, want 1 [libreal.so]", res.SharedObjects(), res.Closure)
+				}
+			},
 		},
 		{
 			name: "truncated ELF header",
@@ -247,14 +342,7 @@ func TestHostileLayouts(t *testing.T) {
 			name: "unreadable file is classified, not dropped",
 			build: func(t *testing.T, dir string) {
 				write(t, dir, "libsecret.so", buildLib(t, "libsecret.so"))
-				orig := readFile
-				readFile = func(name string) ([]byte, error) {
-					if filepath.Base(name) == "libsecret.so" {
-						return nil, fmt.Errorf("open %s: permission denied", name)
-					}
-					return orig(name)
-				}
-				t.Cleanup(func() { readFile = orig })
+				failOpen(t, "libsecret.so")
 			},
 			check: func(t *testing.T, res *Result) {
 				rep := report(t, res, "libsecret.so")
@@ -342,11 +430,92 @@ func TestHostileLayouts(t *testing.T) {
 		{
 			name: "two files providing the same soname reject the tree",
 			build: func(t *testing.T, dir string) {
-				data := buildLib(t, "libdup.so")
-				write(t, dir, "x/libdup.so", data)
-				write(t, dir, "y/libdup.so", data)
+				write(t, dir, "x/libdup.so", buildLib(t, "libdup.so"))
+				write(t, dir, "y/libdup.so", buildLib(t, "libdup.so", "libextra.so"))
 			},
 			wantErr: "libdup.so",
+		},
+		{
+			name: "versioned alias symlink is the library it names",
+			build: func(t *testing.T, dir string) {
+				writeFlat(t, dir)
+				if err := os.Symlink("libtorch_cuda.so", filepath.Join(dir, "libtorch_cuda.so.1")); err != nil {
+					t.Fatal(err)
+				}
+			},
+			check: func(t *testing.T, res *Result) {
+				if rep := report(t, res, "libtorch_cuda.so.1"); rep.AliasOf != "libtorch_cuda.so" || !rep.InClosure {
+					t.Errorf("alias report: %+v", rep)
+				}
+				assertDebloatsLikeFlat(t, res)
+			},
+		},
+		{
+			name: "hardlink walked before its library yields to the soname-named file",
+			build: func(t *testing.T, dir string) {
+				writeFlat(t, dir)
+				if err := os.Mkdir(filepath.Join(dir, "compat"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Link(filepath.Join(dir, "libc10_cuda.so"), filepath.Join(dir, "compat", "libc10_cuda.so.1")); err != nil {
+					t.Fatal(err)
+				}
+			},
+			check: func(t *testing.T, res *Result) {
+				if rep := report(t, res, "compat/libc10_cuda.so.1"); rep.AliasOf != "libc10_cuda.so" {
+					t.Errorf("hardlink report: %+v", rep)
+				}
+				if rep := report(t, res, "libc10_cuda.so"); rep.AliasOf != "" {
+					t.Errorf("soname-named file reported as an alias of %s", rep.AliasOf)
+				}
+				assertDebloatsLikeFlat(t, res)
+			},
+		},
+		{
+			name: "identical copy in another directory is one library",
+			build: func(t *testing.T, dir string) {
+				writeFlat(t, dir)
+				data, err := os.ReadFile(filepath.Join(dir, "libcublas.so.12"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				write(t, dir, "vendored/libcublas.so.12", data)
+			},
+			check: func(t *testing.T, res *Result) {
+				if rep := report(t, res, "vendored/libcublas.so.12"); rep.AliasOf != "libcublas.so.12" {
+					t.Errorf("copy report: %+v", rep)
+				}
+				assertDebloatsLikeFlat(t, res)
+			},
+		},
+		{
+			name: "different bytes behind a versioned alias name reject the tree",
+			build: func(t *testing.T, dir string) {
+				writeFlat(t, dir)
+				write(t, dir, "libtorch_cuda.so.1", buildLib(t, "libtorch_cuda.so"))
+			},
+			wantErr: `"libtorch_cuda.so" already provided by libtorch_cuda.so with different content`,
+		},
+		{
+			name: "DT_NEEDED naming a dev-link alias resolves to its library",
+			build: func(t *testing.T, dir string) {
+				write(t, dir, "deps/libz.so.1.2.13", buildLib(t, "libz.so.1"))
+				if err := os.Symlink("deps/libz.so.1.2.13", filepath.Join(dir, "libz.so")); err != nil {
+					t.Fatal(err)
+				}
+				write(t, dir, "libmain.so", buildLib(t, "libmain.so", "libz.so"))
+			},
+			check: func(t *testing.T, res *Result) {
+				if want := []string{"libmain.so", "libz.so.1.2.13"}; !reflect.DeepEqual(res.Closure, want) {
+					t.Errorf("closure = %v, want %v", res.Closure, want)
+				}
+				if len(res.Unresolved) != 0 {
+					t.Errorf("unresolved = %v", res.Unresolved)
+				}
+				if rep := report(t, res, "libz.so"); rep.AliasOf != "libz.so.1.2.13" || !rep.InClosure {
+					t.Errorf("dev-link report: %+v", rep)
+				}
+			},
 		},
 		{
 			name: "explicit entry naming no library rejects the tree",

@@ -83,13 +83,19 @@ func (in *Install) WriteTo(dir string) error {
 }
 
 // ReadManifest loads and validates the install.json in dir without touching
-// the library files. Ingestion uses it to recover runtime metadata while
-// sourcing the library bytes through its own classified walk.
+// the library files.
 func ReadManifest(dir string) (*Manifest, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, fmt.Errorf("mlframework: %w", err)
 	}
+	return ParseManifest(blob)
+}
+
+// ParseManifest decodes and validates install.json bytes. Ingestion uses it
+// on the bytes its classified walk already read (and hashed), so the
+// manifest it validates is exactly the one it fingerprinted.
+func ParseManifest(blob []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(blob, &m); err != nil {
 		return nil, fmt.Errorf("mlframework: parse manifest: %w", err)
