@@ -60,10 +60,11 @@ type Module struct {
 	Lib  *elfx.Library
 	Mode LoadMode
 
-	// cubins holds the arch-matching, parseable cubins by element index.
-	cubins map[int]*loadedCubin
-	// byKernel maps kernel name -> element index of its cubin.
-	byKernel map[string]int
+	// cubins holds the arch-matching, parseable cubins in section order.
+	cubins []*loadedCubin
+	// byKernel maps a kernel name to its cubin (the last in section order
+	// when several carry it).
+	byKernel map[string]*loadedCubin
 	// handles caches function handles; cuModuleGetFunction fires only on
 	// first resolution, matching the driver behaviour the detector relies on.
 	handles map[string]*Function
@@ -79,11 +80,10 @@ type loadedCubin struct {
 
 // Function is a kernel handle returned by GetFunction.
 type Function struct {
-	Module  *Module
-	Name    string
-	element int
-	kernel  int
-	lc      *loadedCubin
+	Module *Module
+	Name   string
+	kernel int
+	lc     *loadedCubin
 	// children is the number of device-side kernels reachable from this
 	// kernel's call graph, precomputed at resolution time so launches stay
 	// allocation-free. childrenOK records whether all of their code is
@@ -132,42 +132,31 @@ func (d *Driver) apiCall(data *cupti.CallbackData) {
 // as the real driver skips removed elements.
 func (ctx *Context) LoadModule(lib *elfx.Library) (*Module, error) {
 	d := ctx.drv
-	m := &Module{
-		ctx:      ctx,
-		Lib:      lib,
-		Mode:     ctx.Mode,
-		cubins:   make(map[int]*loadedCubin),
-		byKernel: make(map[string]int),
-	}
+	m := &Module{ctx: ctx, Lib: lib, Mode: ctx.Mode}
 
 	// ---- Host-side residency ----
 	// Residency is byte-granular: at the repository's 1 MB -> 1 KB scale a
 	// real 4 KiB page is ~4 simulated bytes, so counting non-zero bytes is
 	// the scale-correct model of "pages that are actually backed". Zeroed
-	// (compacted) ranges cost neither memory nor page-in time.
-	fbRange, hasFB := lib.FatbinRange()
-	var fb *fatbin.FatBin
-	if hasFB {
-		var err error
-		fb, _, err = lib.Fatbin()
-		if err != nil {
-			return nil, fmt.Errorf("cudasim: load %s: %w", lib.Name, err)
-		}
+	// (compacted) ranges cost neither memory nor page-in time. The counts
+	// and the fatbin parse are the library's load facts: derived once per
+	// library from its own bytes and shared by every context and run.
+	f := lib.Facts()
+	if f.FatbinErr != nil {
+		return nil, fmt.Errorf("cudasim: load %s: %w", lib.Name, f.FatbinErr)
 	}
-	var resident int64
-	if ctx.Mode == EagerLoading || !hasFB {
-		resident = elfx.NonZeroBytes(lib.Data)
-	} else {
+	resident := f.NonZero
+	if ctx.Mode == LazyLoading && f.HasFatbin {
 		// Lazy: fatbin payloads are not paged in; only the region and
 		// element headers are touched while indexing the module.
-		resident = elfx.NonZeroBytes(lib.Data) - elfx.NonZeroBytesIn(lib.Data, fbRange)
-		resident += int64(len(fb.Regions))*24 + int64(fb.ElementCount())*48
+		resident = f.NonZero - f.FatbinNonZero
+		resident += int64(len(f.Fatbin.Regions))*24 + int64(len(f.Elements))*48
 		if resident < 0 {
 			resident = 0
 		}
 		// Lazy can never page in more than eager would.
-		if eager := elfx.NonZeroBytes(lib.Data); resident > eager {
-			resident = eager
+		if resident > f.NonZero {
+			resident = f.NonZero
 		}
 	}
 	m.ResidentCPU = resident
@@ -175,26 +164,28 @@ func (ctx *Context) LoadModule(lib *elfx.Library) (*Module, error) {
 	d.Clock.Advance(time.Duration(resident) * d.Cost.CPULoadPerByte)
 
 	// ---- Device-side indexing ----
-	if hasFB {
-		for _, e := range fb.Elements() {
-			if e.Kind != fatbin.KindCubin || e.Arch != ctx.Device.Arch {
-				continue
-			}
-			if !cubin.IsCubin(e.Payload) {
-				continue // zeroed by compaction
-			}
-			cb, err := cubin.Parse(e.Payload)
-			if err != nil {
-				continue // damaged payload is treated as removed
-			}
-			lc := &loadedCubin{cb: cb}
-			m.cubins[e.Index] = lc
-			for _, k := range cb.Kernels {
-				m.byKernel[k.Name] = e.Index
-			}
-			if ctx.Mode == EagerLoading {
-				m.loadCubin(lc)
-			}
+	kernels := 0
+	for _, e := range f.Elements {
+		if e.Kind != fatbin.KindCubin || e.Arch != ctx.Device.Arch {
+			continue
+		}
+		if !cubin.IsCubin(e.Payload) {
+			continue // zeroed by compaction
+		}
+		cb, err := cubin.Parse(e.Payload)
+		if err != nil {
+			continue // damaged payload is treated as removed
+		}
+		m.cubins = append(m.cubins, &loadedCubin{cb: cb})
+		kernels += len(cb.Kernels)
+	}
+	m.byKernel = make(map[string]*loadedCubin, kernels)
+	for _, lc := range m.cubins {
+		for _, k := range lc.cb.Kernels {
+			m.byKernel[k.Name] = lc
+		}
+		if ctx.Mode == EagerLoading {
+			m.loadCubin(lc)
 		}
 	}
 
@@ -207,13 +198,6 @@ func (ctx *Context) LoadModule(lib *elfx.Library) (*Module, error) {
 		Bytes:  lib.FileSize(),
 	})
 	return m, nil
-}
-
-func residentIn(data []byte, r fatbin.Range) int64 {
-	if r.Start < 0 || r.End > int64(len(data)) {
-		return 0
-	}
-	return elfx.ResidentBytes(data[r.Start:r.End])
 }
 
 // loadCubin copies a cubin's code to the GPU, charging memory and time.
@@ -246,11 +230,10 @@ func (m *Module) GetFunction(name string) (*Function, error) {
 		Module: m.Lib.Name,
 		Kernel: name,
 	})
-	elemIdx, ok := m.byKernel[name]
+	lc, ok := m.byKernel[name]
 	if !ok {
 		return nil, fmt.Errorf("cudasim: %s: no kernel %q for %s", m.Lib.Name, name, m.ctx.Device.Arch)
 	}
-	lc := m.cubins[elemIdx]
 	kIdx := lc.cb.FindKernel(name)
 	k := &lc.cb.Kernels[kIdx]
 	if !k.Entry() {
@@ -277,7 +260,6 @@ func (m *Module) GetFunction(name string) (*Function, error) {
 	fn := &Function{
 		Module:     m,
 		Name:       name,
-		element:    elemIdx,
 		kernel:     kIdx,
 		lc:         lc,
 		children:   len(graph) - 1,

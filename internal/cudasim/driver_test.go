@@ -176,20 +176,25 @@ func TestArchMismatchModuleHasNoKernels(t *testing.T) {
 }
 
 func TestZeroedElementSkipped(t *testing.T) {
-	lib := buildLib(t, "libk.so", gpuarch.SM75)
-	// Zero the conv cubin payload (element 2).
-	fb, _, err := lib.Fatbin()
+	orig := buildLib(t, "libk.so", gpuarch.SM75)
+	// Zero the conv cubin payload (element 2) in a copy, then parse it.
+	fb, _, err := orig.Fatbin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbRange, _ := lib.FatbinRange()
+	data := append([]byte(nil), orig.Data...)
+	fbRange, _ := orig.FatbinRange()
 	for _, e := range fb.Elements() {
 		if e.Index == 2 {
-			elfx.ZeroRange(lib.Data, fatbin.Range{
+			elfx.ZeroRange(data, fatbin.Range{
 				Start: fbRange.Start + e.PayloadRange.Start,
 				End:   fbRange.Start + e.PayloadRange.End,
 			})
 		}
+	}
+	lib, err := elfx.Parse(orig.Name, data)
+	if err != nil {
+		t.Fatal(err)
 	}
 	d := NewDefault()
 	ctx := d.NewContext(gpuarch.T4, EagerLoading)
@@ -259,18 +264,22 @@ func TestDebloatedLibraryLoadsFasterAndSmaller(t *testing.T) {
 	origTime, origMem := run(lib)
 
 	// Debloat: zero the payloads of all non-sm_75 elements, keeping region
-	// and element headers intact (what the compactor does).
+	// and element headers intact (what the compactor does), in a copy that
+	// is parsed afterwards — a library's bytes are immutable once parsed.
 	data := append([]byte(nil), lib.Data...)
-	dl, _ := elfx.Parse(lib.Name, data)
-	fb, _, _ := dl.Fatbin()
-	fbRange, _ := dl.FatbinRange()
+	fb, _, _ := lib.Fatbin()
+	fbRange, _ := lib.FatbinRange()
 	for _, e := range fb.Elements() {
 		if e.Arch != gpuarch.SM75 {
-			elfx.ZeroRange(dl.Data, fatbin.Range{
+			elfx.ZeroRange(data, fatbin.Range{
 				Start: fbRange.Start + e.PayloadRange.Start,
 				End:   fbRange.Start + e.PayloadRange.End,
 			})
 		}
+	}
+	dl, err := elfx.Parse(lib.Name, data)
+	if err != nil {
+		t.Fatal(err)
 	}
 	debTime, debMem := run(dl)
 

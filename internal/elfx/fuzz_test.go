@@ -91,8 +91,8 @@ func FuzzParseELF(f *testing.F) {
 			return
 		}
 		// Accepted input must be safe to index and query: these walk the
-		// symbol table, the section table, the fatbin element table, and
-		// the zero-byte prefix sum.
+		// symbol table, the name table, the section table, the fatbin
+		// element table, and the zero-byte prefix sum.
 		idx := lib.Index()
 		if idx.NonZeroBytes() > idx.Size() {
 			t.Fatal("NonZeroBytes exceeds file size")
@@ -103,6 +103,12 @@ func FuzzParseELF(f *testing.F) {
 		idx.ZeroBytesIn(fatbin.Range{Start: -8, End: idx.Size() + 8})
 		for i := range lib.Funcs {
 			lib.FunctionAlive(&lib.Funcs[i])
+			if lib.FindFunction(lib.Funcs[i].Name) == nil {
+				t.Fatalf("function %q missing from the name table", lib.Funcs[i].Name)
+			}
+		}
+		if got := lib.Facts().NonZero; got != idx.NonZeroBytes() {
+			t.Fatalf("load facts count %d non-zero bytes, the index %d", got, idx.NonZeroBytes())
 		}
 		for _, e := range idx.Elements {
 			if e.FileRange.Start < 0 || e.FileRange.End > idx.Size() {

@@ -50,10 +50,6 @@ type LibIndex struct {
 	// memoized.
 	Digest [sha256.Size]byte
 
-	// funcsByName maps a symbol name to the indices of lib.Funcs carrying
-	// it (almost always one; duplicates keep symbol-table order).
-	funcsByName map[string][]int32
-
 	// Elements is the fatbin element table in section order. FatbinErr
 	// records a fatbin section parse failure (Elements empty then);
 	// HasFatbin distinguishes "no section" from "empty parse".
@@ -138,14 +134,8 @@ func (l *Library) ContentDigest() [sha256.Size]byte { return l.Index().Digest }
 
 func buildIndex(l *Library, digest [sha256.Size]byte) *LibIndex {
 	x := &LibIndex{
-		Digest:      digest,
-		funcsByName: make(map[string][]int32, len(l.Funcs)),
-		entryElems:  map[string][]int32{},
-	}
-
-	for i := range l.Funcs {
-		name := l.Funcs[i].Name
-		x.funcsByName[name] = append(x.funcsByName[name], int32(i))
+		Digest:     digest,
+		entryElems: map[string][]int32{},
 	}
 
 	x.data = l.Data
@@ -161,17 +151,16 @@ func buildIndex(l *Library, digest [sha256.Size]byte) *LibIndex {
 		x.zeroPrefix[p+1] = zeros
 	}
 
-	fb, has, err := l.Fatbin()
-	x.HasFatbin = has
-	if err != nil {
-		x.FatbinErr = err
-		return x
-	}
-	if !has {
+	// The element table reads the library's own fatbin parse (its load
+	// facts), so the index and the module loader share one parse.
+	f := l.Facts()
+	x.HasFatbin, x.FatbinErr = f.HasFatbin, f.FatbinErr
+	if !f.HasFatbin || f.FatbinErr != nil {
 		return x
 	}
 	secRange, _ := l.FatbinRange()
-	for _, e := range fb.Elements() {
+	x.Elements = make([]IndexedElement, 0, len(f.Elements))
+	for _, e := range f.Elements {
 		ie := IndexedElement{
 			Index: e.Index,
 			Arch:  e.Arch,
@@ -204,10 +193,6 @@ func buildIndex(l *Library, digest [sha256.Size]byte) *LibIndex {
 	}
 	return x
 }
-
-// FuncsNamed returns the indices into Library.Funcs of every function with
-// the given name, in symbol-table order. The slice is shared: read-only.
-func (x *LibIndex) FuncsNamed(name string) []int32 { return x.funcsByName[name] }
 
 // ElementsWithEntry returns the positions (into Elements) of cubins whose
 // entry-kernel set contains name. The slice is shared: read-only.

@@ -25,7 +25,20 @@ type Function struct {
 }
 
 // Library is a parsed ELF shared library held in memory. Data is immutable
-// after Parse — the analysis index and every downstream memo rely on it.
+// after Parse — the analysis index, the load facts and every downstream memo
+// rely on it.
+//
+// A library derives two read-only views of its bytes lazily, each built on
+// first touch and then cached on the *Library (concurrent first touches may
+// build twice; one result is kept):
+//   - Facts: what loading and running need — the function name table, the
+//     non-zero byte counts, the parsed fatbin and its element list. Facts
+//     belong to this *Library alone and never enter a process-wide memo, so
+//     a library whose Data aliases recycled scratch (a verify clone) takes
+//     its facts with it when it dies.
+//   - Index: what the locators and byte accountants need — content digest,
+//     element table, zero-byte prefix sums — shared between libraries with
+//     identical bytes. Computing it hashes the image.
 type Library struct {
 	Name     string
 	Data     []byte
@@ -41,6 +54,8 @@ type Library struct {
 
 	// idx caches the lazily built analysis index (see Index).
 	idx atomic.Pointer[LibIndex]
+	// facts caches the lazily built load facts (see Facts).
+	facts atomic.Pointer[LoadFacts]
 }
 
 // Parse decodes an ELF64 shared library built by this package (and any
@@ -91,30 +106,21 @@ func Parse(name string, data []byte) (*Library, error) {
 			link:    le.Uint32(h[40:]),
 		}
 	}
-	// Validate every section range up front; offsets and sizes come from
-	// untrusted u64 fields and can be negative after the int64 conversion.
+	// Validate every section range up front, SHT_NULL ones included (the
+	// name table and a table's link may point at one); offsets and sizes
+	// come from untrusted u64 fields and can be negative after the int64
+	// conversion.
 	for i, s := range raw {
-		if s.typ == shtNull {
-			continue
-		}
 		if s.off < 0 || s.size < 0 || s.off > int64(len(data)) || s.size > int64(len(data))-s.off {
 			return nil, fmt.Errorf("elfx: %s: section %d out of range", name, i)
 		}
 	}
+	// String tables are decoded into one string each and names are taken
+	// as substrings of it: one allocation per table instead of per name.
 	strSec := raw[shstrndx]
-	shstr := data[strSec.off : strSec.off+strSec.size]
-	readStr := func(tab []byte, off uint32) string {
-		if int(off) >= len(tab) {
-			return ""
-		}
-		end := int(off)
-		for end < len(tab) && tab[end] != 0 {
-			end++
-		}
-		return string(tab[off:end])
-	}
+	shstr := string(data[strSec.off : strSec.off+strSec.size])
 
-	lib := &Library{Name: name, Data: data, Machine: le.Uint16(data[18:])}
+	lib := &Library{Name: name, Data: data, Machine: le.Uint16(data[18:]), Sections: make([]Section, 0, shnum)}
 	for _, s := range raw {
 		lib.Sections = append(lib.Sections, Section{
 			Name:  readStr(shstr, s.nameOff),
@@ -165,8 +171,9 @@ func Parse(name string, data []byte) (*Library, error) {
 			return nil, fmt.Errorf("elfx: %s: symtab link out of range", name)
 		}
 		strSec := raw[symSec.link]
-		strs := data[strSec.off : strSec.off+strSec.size]
+		strs := string(data[strSec.off : strSec.off+strSec.size])
 		n := int(symSec.size / symEntrySize)
+		lib.Funcs = make([]Function, 0, max(n-1, 0))
 		for i := 1; i < n; i++ { // skip null symbol
 			s := data[symSec.off+int64(i*symEntrySize):]
 			info := s[4]
@@ -194,6 +201,19 @@ func Parse(name string, data []byte) (*Library, error) {
 	return lib, nil
 }
 
+// readStr returns the NUL-terminated string at off in a string table, or ""
+// when off is out of range. The result is a substring of tab.
+func readStr(tab string, off uint32) string {
+	if int(off) >= len(tab) {
+		return ""
+	}
+	end := int(off)
+	for end < len(tab) && tab[end] != 0 {
+		end++
+	}
+	return tab[off:end]
+}
+
 // Section returns the named section, or nil.
 func (l *Library) Section(name string) *Section {
 	for i := range l.Sections {
@@ -214,18 +234,12 @@ func (l *Library) FatbinRange() (fatbin.Range, bool) {
 	return s.Range, true
 }
 
-// Fatbin parses the library's .nv_fatbin section. Returns nil, false when
-// the library carries no GPU code.
+// Fatbin returns the library's parsed .nv_fatbin section. Returns nil,
+// false when the library carries no GPU code. The parse is built once per
+// library (see Facts) and shared by every caller: treat it as read-only.
 func (l *Library) Fatbin() (*fatbin.FatBin, bool, error) {
-	r, ok := l.FatbinRange()
-	if !ok {
-		return nil, false, nil
-	}
-	fb, err := fatbin.Parse(l.Data[r.Start:r.End])
-	if err != nil {
-		return nil, true, fmt.Errorf("elfx: %s: %w", l.Name, err)
-	}
-	return fb, true, nil
+	f := l.Facts()
+	return f.Fatbin, f.HasFatbin, f.FatbinErr
 }
 
 // FileSize returns the library's file size in bytes.
@@ -247,15 +261,18 @@ func (l *Library) GPUCodeSize() int64 {
 	return 0
 }
 
-// FindFunction returns the function with the given name, or nil.
+// FindFunction returns the first function with the given name in
+// symbol-table order, or nil.
 func (l *Library) FindFunction(name string) *Function {
-	for i := range l.Funcs {
-		if l.Funcs[i].Name == name {
-			return &l.Funcs[i]
-		}
+	if fi := l.FuncsNamed(name); len(fi) > 0 {
+		return &l.Funcs[fi[0]]
 	}
 	return nil
 }
+
+// FuncsNamed returns the indices into Funcs of every function with the
+// given name, in symbol-table order. The slice is shared: read-only.
+func (l *Library) FuncsNamed(name string) []int32 { return l.Facts().funcsNamed(name) }
 
 // FunctionAlive reports whether the function's code range is still present
 // (not zeroed out by compaction).

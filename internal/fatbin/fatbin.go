@@ -84,7 +84,7 @@ func (r *Region) AddElement(e Element) {
 // 1-based indices populated (only meaningful after Parse; on a built FatBin
 // the indices reflect what Parse would assign).
 func (f *FatBin) Elements() []*Element {
-	var out []*Element
+	out := make([]*Element, 0, f.ElementCount())
 	idx := 1
 	for ri := range f.Regions {
 		for ei := range f.Regions[ri].Elements {

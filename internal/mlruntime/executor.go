@@ -74,6 +74,44 @@ const (
 
 const fnvPrime = 1099511628211
 
+// libState is one library as a run sees it: its module in every device
+// context, and the liveness of the functions the run has called so far.
+type libState struct {
+	lib  *elfx.Library
+	mods []*cudasim.Module
+	// live memoizes liveness per index into lib.Funcs: 0 while unchecked,
+	// then liveYes or liveNo.
+	live []uint8
+}
+
+const (
+	liveYes = 1 + iota
+	liveNo
+)
+
+// alive reports whether the library holds a function called name whose
+// code is still present (not zeroed by compaction). With duplicate names
+// the last one in symbol-table order is the one called. Liveness is checked
+// only for the functions a run calls, once each, against the run's own
+// library bytes.
+func (st *libState) alive(name string) bool {
+	fi := st.lib.FuncsNamed(name)
+	if len(fi) == 0 {
+		return false
+	}
+	i := fi[len(fi)-1]
+	if st.live == nil {
+		st.live = make([]uint8, len(st.lib.Funcs))
+	}
+	if st.live[i] == 0 {
+		st.live[i] = liveNo
+		if st.lib.FunctionAlive(&st.lib.Funcs[i]) {
+			st.live[i] = liveYes
+		}
+	}
+	return st.live[i] == liveYes
+}
+
 // Run executes the workload and returns its result. A missing CPU function
 // (zeroed by over-aggressive compaction) or an unresolvable kernel fails the
 // run — exactly how a broken debloated library fails in practice.
@@ -95,25 +133,10 @@ func Run(w Workload, opt Options) (*Result, error) {
 	}
 
 	// ---- Library loading (framework import) ----
-	type libState struct {
-		lib   *elfx.Library
-		funcs map[string]*elfx.Function
-		alive map[string]bool
-		mods  []*cudasim.Module
-	}
 	libs := make(map[string]*libState, len(w.Install.LibNames))
 	for _, name := range w.Install.LibNames {
 		lib := w.Install.Library(name)
-		st := &libState{
-			lib:   lib,
-			funcs: make(map[string]*elfx.Function, len(lib.Funcs)),
-			alive: make(map[string]bool, len(lib.Funcs)),
-		}
-		for i := range lib.Funcs {
-			fn := &lib.Funcs[i]
-			st.funcs[fn.Name] = fn
-			st.alive[fn.Name] = lib.FunctionAlive(fn)
-		}
+		st := &libState{lib: lib, mods: make([]*cudasim.Module, 0, len(ctxs))}
 		for _, ctx := range ctxs {
 			m, err := ctx.LoadModule(lib)
 			if err != nil {
@@ -137,7 +160,7 @@ func Run(w Workload, opt Options) (*Result, error) {
 		if st == nil {
 			return fmt.Errorf("mlruntime: %s: missing library %s", w.Name, lf.Lib)
 		}
-		if !st.alive[lf.Func] {
+		if !st.alive(lf.Func) {
 			return fmt.Errorf("mlruntime: %s: function %s in %s is missing or zeroed (SIGSEGV)", w.Name, lf.Func, lf.Lib)
 		}
 		if opt.FuncHook != nil {

@@ -168,9 +168,11 @@ func TestZeroedUsedFunctionCrashes(t *testing.T) {
 	orig := w.Install.Library("libtorch_cuda.so")
 	mod := append([]byte(nil), orig.Data...)
 	lib, _ := elfx.Parse("x", mod)
+	var killed string
 	for _, fn := range lib.Funcs {
 		if strings.Contains(fn.Name, "_init_") {
 			elfx.ZeroRange(mod, fn.Range)
+			killed = fn.Name
 			break
 		}
 	}
@@ -180,8 +182,10 @@ func TestZeroedUsedFunctionCrashes(t *testing.T) {
 	}
 	w2 := w
 	w2.Install = clone
-	if _, err := Run(w2, Options{MaxSteps: 2}); err == nil {
-		t.Fatal("zeroing a used init function must fail the run")
+	_, err = Run(w2, Options{MaxSteps: 2})
+	want := "mlruntime: " + w.Name + ": function " + killed + " in libtorch_cuda.so is missing or zeroed (SIGSEGV)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("zeroing a used init function must fail the run with %q, got %v", want, err)
 	}
 }
 

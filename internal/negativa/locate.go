@@ -163,11 +163,10 @@ type CPULocation struct {
 }
 
 // LocateCPU maps used CPU function names to their .text file ranges through
-// the analysis index's name map (Negativa's location phase for host code):
+// the library's name table (Negativa's location phase for host code):
 // O(used) lookups instead of an O(symbol-table) sweep per call. Keep ranges
 // come out in symbol-table order, matching the sweeping implementation.
 func LocateCPU(lib *elfx.Library, usedFuncs []string) *CPULocation {
-	idx := lib.Index()
 	loc := &CPULocation{TotalFuncs: len(lib.Funcs)}
 	if s := lib.Section(".text"); s != nil {
 		loc.TotalBytes = s.Range.Len()
@@ -179,7 +178,7 @@ func LocateCPU(lib *elfx.Library, usedFuncs []string) *CPULocation {
 			continue
 		}
 		seen[name] = true
-		keepIdx = append(keepIdx, idx.FuncsNamed(name)...)
+		keepIdx = append(keepIdx, lib.FuncsNamed(name)...)
 	}
 	slices.Sort(keepIdx)
 	for _, fi := range keepIdx {

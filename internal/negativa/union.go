@@ -1,6 +1,7 @@
 package negativa
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -36,19 +37,19 @@ func MergeProfiles(profiles ...*Profile) *Profile {
 
 // Covers reports whether profile u retains at least everything profile p
 // uses — the safety condition for serving p from an install debloated
-// against u.
+// against u. It binary-searches u's symbol lists, so u's lists must be
+// sorted, as every Profile's are (MergeProfiles and DetectUsage both sort
+// them); an unsorted list can only turn a hit into a miss, never the
+// reverse, so the check fails safe.
 func (u *Profile) Covers(p *Profile) bool {
 	return covers(u.UsedKernels, p.UsedKernels) && covers(u.UsedFuncs, p.UsedFuncs)
 }
 
 func covers(super, sub map[string][]string) bool {
 	for lib, syms := range sub {
-		have := map[string]bool{}
-		for _, s := range super[lib] {
-			have[s] = true
-		}
+		have := super[lib]
 		for _, s := range syms {
-			if !have[s] {
+			if _, ok := slices.BinarySearch(have, s); !ok {
 				return false
 			}
 		}
