@@ -47,8 +47,10 @@ type Options struct {
 	// tagged castore_nommap are always on the fallback regardless.
 	DisableMmap bool
 	// Counters, when non-nil, mirrors store.hits / store.misses /
-	// store.puts / store.evictions / store.corrupt and tracks store.bytes
-	// as a gauge.
+	// store.puts / store.evictions / store.corrupt, counts group commits
+	// that flushed the whole filesystem (store.bulk_syncs) or fell back
+	// from it to per-path fsync (store.bulk_sync_fallbacks), and tracks
+	// store.bytes as a gauge.
 	Counters *metrics.CounterSet
 	// BeforeRename, when non-nil, runs after the temp file is written and
 	// fsynced but before the atomic rename — the crash-injection point for
@@ -522,18 +524,23 @@ func (s *Store) SyncDirs() {
 		return
 	}
 	// A large dirty set is cheaper to flush wholesale than path by path:
-	// one sync(2) is a single journal commit covering every deferred file
-	// and rename, where per-path fsync pays a commit each. Small sets stay
-	// per-path to avoid flushing unrelated system-wide dirty pages.
-	if len(files)+len(dirs) >= bulkSyncThreshold && bulkSync() {
-		return
+	// one syncfs(2) on the store's filesystem is a single journal commit
+	// covering every deferred file and rename, where per-path fsync pays a
+	// commit each. Small sets stay per-path to avoid flushing the
+	// filesystem's unrelated dirty pages.
+	if len(files)+len(dirs) >= bulkSyncThreshold {
+		if bulkSync(s.dir) {
+			s.count("store.bulk_syncs", 1)
+			return
+		}
+		s.count("store.bulk_sync_fallbacks", 1)
 	}
 	syncAll(files)
 	syncAll(dirs)
 }
 
 // bulkSyncThreshold is the deferred-path count at which SyncDirs prefers
-// one whole-system sync over per-path fsyncs.
+// one flush of the store's filesystem over per-path fsyncs.
 const bulkSyncThreshold = 16
 
 // ensureDir creates a kind/shard directory once per store lifetime. An

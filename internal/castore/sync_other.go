@@ -2,8 +2,8 @@
 
 package castore
 
-// bulkSync reports that no whole-system flush is available; SyncDirs falls
-// back to per-path fsync.
-func bulkSync() bool {
+// bulkSync reports that no filesystem-wide flush is available; SyncDirs
+// falls back to per-path fsync.
+func bulkSync(string) bool {
 	return false
 }

@@ -39,7 +39,11 @@ type CacheStats struct {
 // its original library image alive, so the cache also charges each
 // distinct referenced image once (refcounted across entries) — the bound
 // covers everything the cache alone can pin after the owning install is
-// evicted. Stored values are immutable: hits hand out the shared report
+// evicted. Charging once is only honest if the cache holds the image once:
+// Image hands out the image held for a digest, and callers that would parse
+// another copy of the same bytes (a peer compact decoding a shipped library)
+// resolve to it instead, so every entry over one library pins one image.
+// Stored values are immutable: hits hand out the shared report
 // and sparse image, which callers must treat as read-only. Concurrent
 // misses on the same key may compute the result twice; both Puts store
 // identical content, so the race is benign.
@@ -50,8 +54,10 @@ type ResultCache struct {
 	entries  map[string]*list.Element
 	lru      list.List // front = most recently used
 	// libRefs counts entries referencing each distinct library image;
-	// the image's bytes are charged while the count is non-zero.
+	// the image's bytes are charged while the count is non-zero. images
+	// holds, per digest, the image Image hands out.
 	libRefs  map[[sha256.Size]byte]int
+	images   map[[sha256.Size]byte]*heldImage
 	hits     int64
 	misses   int64
 	evicted  int64
@@ -77,6 +83,15 @@ type ResultCache struct {
 	inlineDone   *sync.Cond
 }
 
+// heldImage is the image Image hands out for one digest. refs counts the
+// entries put since it became the held image whose sparse report references
+// that very *elfx.Library; the cache drops it when they are gone, so it
+// never pins an image no entry uses.
+type heldImage struct {
+	lib  *elfx.Library
+	refs int
+}
+
 // spillJob is one queued write-behind spill; a job with ack set is a
 // Flush barrier — the worker closes ack instead of writing.
 type spillJob struct {
@@ -89,11 +104,10 @@ type cacheEntry struct {
 	key  string
 	ld   *negativa.LibDebloat
 	size int64
-	// libDigest / libSize identify the original image the sparse report
-	// references (hasLib false for reports without one, e.g. in tests).
+	// lib is the original image the sparse report references (nil for
+	// reports without one, e.g. in tests), libDigest its content digest.
+	lib       *elfx.Library
 	libDigest [sha256.Size]byte
-	libSize   int64
-	hasLib    bool
 }
 
 // entrySize charges an entry with the bytes its sparse report itself pins
@@ -116,6 +130,7 @@ func NewResultCache(maxBytes int64, counters *metrics.CounterSet) *ResultCache {
 		maxBytes: maxBytes,
 		entries:  map[string]*list.Element{},
 		libRefs:  map[[sha256.Size]byte]int{},
+		images:   map[[sha256.Size]byte]*heldImage{},
 		counters: counters,
 	}
 	c.inlineDone = sync.NewCond(&c.mu)
@@ -300,26 +315,50 @@ func (c *ResultCache) LoadStored(key string, lib *elfx.Library) (*negativa.LibDe
 	return ld, true
 }
 
+// Image returns the library image the cache holds for the digest when it
+// is named name, so a caller about to parse the same bytes can share it.
+// The caller must still confirm the bytes it has are the image's.
+func (c *ResultCache) Image(digest [sha256.Size]byte, name string) (*elfx.Library, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	img, ok := c.images[digest]
+	if !ok || img.lib.Name != name {
+		return nil, false
+	}
+	return img.lib, true
+}
+
 // retainLib charges the entry's referenced library image on its first
 // reference; releaseLib refunds it on the last.
 func (c *ResultCache) retainLib(ent *cacheEntry) {
-	if !ent.hasLib {
+	if ent.lib == nil {
 		return
 	}
 	c.libRefs[ent.libDigest]++
 	if c.libRefs[ent.libDigest] == 1 {
-		c.addBytes(ent.libSize)
+		c.addBytes(ent.lib.FileSize())
+	}
+	switch img := c.images[ent.libDigest]; {
+	case img == nil:
+		c.images[ent.libDigest] = &heldImage{lib: ent.lib, refs: 1}
+	case img.lib == ent.lib:
+		img.refs++
 	}
 }
 
 func (c *ResultCache) releaseLib(ent *cacheEntry) {
-	if !ent.hasLib {
+	if ent.lib == nil {
 		return
 	}
 	c.libRefs[ent.libDigest]--
 	if c.libRefs[ent.libDigest] == 0 {
 		delete(c.libRefs, ent.libDigest)
-		c.addBytes(-ent.libSize)
+		c.addBytes(-ent.lib.FileSize())
+	}
+	if img := c.images[ent.libDigest]; img != nil && img.lib == ent.lib {
+		if img.refs--; img.refs == 0 {
+			delete(c.images, ent.libDigest)
+		}
 	}
 }
 
@@ -387,10 +426,8 @@ func (c *ResultCache) put(key string, ld *negativa.LibDebloat, spill bool) {
 	}
 	ent := &cacheEntry{key: key, ld: ld, size: entrySize(key, ld)}
 	if sp := ld.Report.Sparse; sp != nil {
-		lib := sp.Lib()
-		ent.libDigest = lib.ContentDigest()
-		ent.libSize = lib.FileSize()
-		ent.hasLib = true
+		ent.lib = sp.Lib()
+		ent.libDigest = ent.lib.ContentDigest()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -207,6 +207,44 @@ func TestCacheChargesReferencedImagesOnce(t *testing.T) {
 	}
 }
 
+// TestCacheImageFollowsItsEntries pins the image Image hands out: the
+// image an entry references, by digest and name, for as long as an entry
+// references that very image — and never one no entry uses.
+func TestCacheImageFollowsItsEntries(t *testing.T) {
+	lib := smallLib(t, "liba.so", "f1", "f2")
+	twin, err := elfx.Parse(lib.Name, append([]byte(nil), lib.Data...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(l *elfx.Library, funcs ...string) *negativa.LibDebloat {
+		ld, err := negativa.LocateAndCompactLib(l, funcs, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ld
+	}
+	digest := lib.ContentDigest()
+	c := NewResultCache(1<<20, nil)
+	c.Put("k1", mk(lib, "f1"))
+	c.Put("k2", mk(twin, "f2")) // same bytes, another parse
+	if got, ok := c.Image(digest, lib.Name); !ok || got != lib {
+		t.Fatalf("Image = %p, %v; want the first entry's image %p", got, ok, lib)
+	}
+	if _, ok := c.Image(digest, "other.so"); ok {
+		t.Fatal("Image answered for another name")
+	}
+	// Replacing k1 drops the last entry over lib: the twin, still
+	// referenced by k2, becomes the image on its next reference.
+	c.Put("k1", &negativa.LibDebloat{Report: &negativa.LibraryReport{Name: "liba.so"}})
+	if _, ok := c.Image(digest, lib.Name); ok {
+		t.Fatal("Image still hands out an image no entry references")
+	}
+	c.Put("k3", mk(twin, "f1", "f2"))
+	if got, ok := c.Image(digest, lib.Name); !ok || got != twin {
+		t.Fatalf("Image = %p, %v; want the twin %p", got, ok, twin)
+	}
+}
+
 func TestCacheRePutRechecksBound(t *testing.T) {
 	mk := func(name string, kernels int) *negativa.LibDebloat {
 		lr := &negativa.LibraryReport{Name: name}

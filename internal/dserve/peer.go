@@ -1,8 +1,11 @@
 package dserve
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -404,13 +407,9 @@ func (s *Service) handlePeerCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	s.peerSem <- struct{}{}
 	defer func() { <-s.peerSem }()
-	lib, err := elfx.Parse(req.LibName, req.Lib)
+	lib, err := s.shippedLib(&req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("parse shipped library: %w", err))
-		return
-	}
-	if digestHex(lib) != req.LibDigest {
-		httpError(w, http.StatusBadRequest, errors.New("library digest mismatch"))
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if ld, ok := s.Cache.LoadStored(req.Key, lib); ok && ld.Report != nil && ld.Report.Sparse != nil {
@@ -439,6 +438,32 @@ func (s *Service) handlePeerCompact(w http.ResponseWriter, r *http.Request) {
 	s.Cache.Put(req.Key, ld)
 	sr := storedResultOf(ld)
 	writeJSON(w, http.StatusOK, peerCompactResponse{Result: &sr, Sparse: s.encodeSparseFor(r, ld.Report.Sparse)})
+}
+
+// shippedLib resolves a compact request's shipped library. When the cache
+// already holds an image with the claimed digest and name, and the shipped
+// bytes are exactly that image's, the request shares it: results the cache
+// keeps over one library then pin one image, as the cache charges them.
+// Otherwise the bytes are parsed and must hash to the claimed digest. The
+// request's decoded copy is dropped either way.
+func (s *Service) shippedLib(req *peerCompactRequest) (*elfx.Library, error) {
+	shipped := req.Lib
+	req.Lib = nil
+	var digest [sha256.Size]byte
+	if d, err := hex.DecodeString(req.LibDigest); err == nil && len(d) == len(digest) {
+		copy(digest[:], d)
+		if lib, ok := s.Cache.Image(digest, req.LibName); ok && bytes.Equal(lib.Data, shipped) {
+			return lib, nil
+		}
+	}
+	lib, err := elfx.Parse(req.LibName, shipped)
+	if err != nil {
+		return nil, fmt.Errorf("parse shipped library: %w", err)
+	}
+	if digestHex(lib) != req.LibDigest {
+		return nil, errors.New("library digest mismatch")
+	}
+	return lib, nil
 }
 
 // handlePeerObject streams one castore object in its integrity-framed wire

@@ -10,6 +10,7 @@ import (
 
 	"negativaml/internal/castore"
 	"negativaml/internal/cluster"
+	"negativaml/internal/elfx"
 	"negativaml/internal/mlframework"
 	"negativaml/internal/negativa"
 )
@@ -93,6 +94,56 @@ func TestPeerCompactRejectsMismatches(t *testing.T) {
 	req.Lib = []byte("not an elf")
 	if code := postPeer(t, srv, "/v1/peer/compact", req, nil); code != http.StatusBadRequest {
 		t.Fatalf("unparsable library status %d", code)
+	}
+}
+
+// TestPeerCompactSharesHeldImage: compacts of one shipped library under
+// distinct keys pin the one image the cache already holds for its digest,
+// not a decoded copy each — the cache charges an image once, so it must
+// hold it once too.
+func TestPeerCompactSharesHeldImage(t *testing.T) {
+	svc := NewService(Config{Workers: 2, MaxSteps: 2})
+	defer svc.Close()
+	soloCluster(svc)
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	in, err := mlframework.Generate(mlframework.Config{Framework: mlframework.PyTorch, TailLibs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := in.Library(in.LibNames[0])
+	if len(lib.Funcs) < 4 {
+		t.Fatalf("%s has %d functions, want 4", lib.Name, len(lib.Funcs))
+	}
+	var held *elfx.Library
+	for k := 1; k <= 4; k++ {
+		var used []string
+		for _, f := range lib.Funcs[:k] {
+			used = append(used, f.Name)
+		}
+		key := negativa.CompactKey(negativa.LocateKey(lib, used, nil, nil)).Hash
+		req := peerCompactRequest{Key: key, LibName: lib.Name, LibDigest: digestHex(lib), Lib: lib.Data, UsedFuncs: used}
+		if code := postPeer(t, srv, "/v1/peer/compact", req, nil); code != http.StatusOK {
+			t.Fatalf("compact %d status %d", k, code)
+		}
+		ld, ok := svc.Cache.Get(key)
+		if !ok || ld.Report.Sparse == nil {
+			t.Fatalf("compact %d left no sparse result in the cache", k)
+		}
+		got := ld.Report.Sparse.Lib()
+		if held == nil {
+			held = got
+		}
+		if got != held {
+			t.Fatalf("compact %d pins its own copy of %s", k, lib.Name)
+		}
+		if !bytes.Equal(got.Data, lib.Data) {
+			t.Fatalf("compact %d pins different bytes", k)
+		}
+	}
+	if n := svc.Cache.Len(); n != 4 {
+		t.Fatalf("cache holds %d entries, want 4", n)
 	}
 }
 

@@ -15,9 +15,11 @@
 // A file repeating a library's bytes under another name (a versioned
 // symlink, a hardlink, a copy) is an alias of that library, not a second
 // provider. Every file report records the SHA-256 of the bytes it was
-// classified from, and Result.Unchanged re-walks the tree, hashing without
-// parsing, to tell whether a fresh Tree would return the same result — the
-// content check that lets a long-lived node reuse one parsed install.
+// classified from. Result.Unchanged re-walks the tree without parsing to
+// tell whether a fresh Tree would return the same result — the content
+// check that lets a long-lived node reuse one parsed install. It compares
+// shared objects and the manifest byte for byte with the bytes the Result
+// already holds, and hashes only the files it does not hold.
 //
 // Ingestion is the first code path fed by files this process did not author:
 // every anomaly — symlink loops, truncated ELF headers, unreadable files,

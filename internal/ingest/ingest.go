@@ -9,6 +9,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 
@@ -108,6 +109,9 @@ type Result struct {
 	Manifest *mlframework.Manifest
 
 	opt Options // the walk's bounds, for Unchanged
+	// manifest holds the root install.json bytes the walk read: Tree
+	// parses them and Unchanged compares the file with them.
+	manifest []byte
 }
 
 // openFile is swapped by tests to inject read failures: the suite runs as
@@ -141,8 +145,8 @@ func Tree(dir string, opt Options) (*Result, error) {
 	if err := w.resolve(opt.Entries); err != nil {
 		return nil, err
 	}
-	if w.manifest != nil {
-		m, err := mlframework.ParseManifest(w.manifest)
+	if res.manifest != nil {
+		m, err := mlframework.ParseManifest(res.manifest)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: %w", err)
 		}
@@ -154,17 +158,21 @@ func Tree(dir string, opt Options) (*Result, error) {
 // Unchanged reports whether walking r.Dir again would classify exactly the
 // files r holds: the same paths in the same order, the same symlink and
 // read outcomes, and byte-identical contents. It re-walks the tree with
-// Tree's walker and bounds but parses nothing: each file streams through
-// SHA-256 in a pooled buffer and is compared with its report's digest, and
-// the walk stops at the first difference. Classification is a function of
-// the path and the bytes, so an unchanged walk means Tree would return an
-// equal Result. Metadata (mtimes, sizes alone) is never trusted — an edit
-// that restores both is still caught by its bytes. The error is the one
-// Tree would now reject the tree with (bounds, an unreadable root).
+// Tree's walker and bounds but parses nothing, and stops at the first
+// difference. Each file streams through a pooled buffer. A file whose bytes
+// r already holds — a shared object (its library image, which an alias
+// shares with its canonical) or the manifest — is compared with those bytes
+// chunk by chunk and must match them to the last byte; any other file is
+// hashed and compared with its report's SHA-256 digest. Classification is a
+// function of the path and the bytes, so an unchanged walk means Tree would
+// return an equal Result. Metadata may reject a file (a size that differs
+// from its report ends the walk unread) but never accepts one — an edit
+// that restores size and mtime is still caught by its bytes. The error is
+// the one Tree would now reject the tree with (bounds, an unreadable root).
 func (r *Result) Unchanged() (bool, error) {
 	buf := bufpool.Get(64 << 10)
 	defer bufpool.Put(buf)
-	w := &walker{opt: r.opt, verify: true, prev: r.Files, hash: sha256.New(), buf: buf}
+	w := &walker{opt: r.opt, res: r, verify: true, hash: sha256.New(), buf: buf}
 	switch err := w.dir(r.Dir, "", 0); {
 	case errors.Is(err, errChanged):
 		return false, nil
@@ -174,8 +182,29 @@ func (r *Result) Unchanged() (bool, error) {
 	return w.seen == len(r.Files), nil
 }
 
+// held returns the bytes r already holds for a report's file: a shared
+// object's library image, found under its canonical name, and the
+// manifest's raw bytes. Other classes' bytes are not kept.
+func (r *Result) held(p *FileReport) ([]byte, bool) {
+	switch p.Class {
+	case ClassSharedObject:
+		canon := p.AliasOf
+		if canon == "" {
+			canon = path.Base(p.Path)
+		}
+		if lib := r.Libs[canon]; lib != nil {
+			return lib.Data, true
+		}
+	case ClassManifest:
+		return r.manifest, r.manifest != nil
+	}
+	return nil, false
+}
+
 type walker struct {
 	opt Options
+	// res is the Result being built, or, on a verifying walk, the one
+	// being checked.
 	res *Result
 	// aliases maps every name a library answers to — file names and
 	// DT_SONAME, its aliases' included — to its canonical (file) name, for
@@ -184,14 +213,11 @@ type walker struct {
 	// canonPath maps each canonical name to the path of the file that
 	// provides it; every other file answering to it is an alias.
 	canonPath map[string]string
-	// manifest holds the root install.json bytes, read once by the walk.
-	manifest []byte
 
-	// verify makes this a verifying walk (Unchanged): files are hashed,
-	// not classified, and each observation must match the next of prev,
-	// the earlier walk's reports. seen counts the reports matched so far.
+	// verify makes this a verifying walk (Unchanged): files are compared,
+	// not classified, and each observation must match the next of
+	// res.Files. seen counts the reports matched so far.
 	verify bool
-	prev   []FileReport
 	seen   int
 	hash   hash.Hash
 	buf    []byte
@@ -261,16 +287,11 @@ func (w *walker) files() int {
 }
 
 // file classifies one regular file (possibly behind a symlink). A verifying
-// walk only hashes it.
+// walk only compares it.
 func (w *walker) file(abs, rel string, size int64, atRoot bool) error {
 	rep := FileReport{Path: rel, Size: size}
 	if w.verify {
-		if err := w.hashFile(abs); err != nil {
-			rep.Class, rep.Err = ClassUnreadable, err.Error()
-		} else {
-			rep.Digest = w.sum
-		}
-		return w.record(rep)
+		return w.verifyFile(abs, rep)
 	}
 	data, err := readFile(abs, size)
 	if atRoot && filepath.Base(rel) == mlframework.ManifestName {
@@ -278,7 +299,7 @@ func (w *walker) file(abs, rel string, size int64, atRoot bool) error {
 			return fmt.Errorf("ingest: %w", err)
 		}
 		rep.Class, rep.Digest = ClassManifest, sha256.Sum256(data)
-		w.manifest = data
+		w.res.manifest = data
 		return w.record(rep)
 	}
 	if err != nil {
@@ -329,6 +350,61 @@ func readFile(name string, size int64) ([]byte, error) {
 	}
 }
 
+// verifyFile matches one file against the verifying walk's next report.
+// A path or size that differs from the report rejects the file unread. A
+// file whose bytes the Result holds must repeat them exactly; any other
+// file is hashed for record to compare with the report's digest.
+func (w *walker) verifyFile(abs string, rep FileReport) error {
+	if w.seen == len(w.res.Files) {
+		return errChanged
+	}
+	p := &w.res.Files[w.seen]
+	if p.Path != rep.Path || p.Size != rep.Size {
+		return errChanged
+	}
+	var err error
+	if held, ok := w.res.held(p); ok {
+		var same bool
+		if same, err = w.sameBytes(abs, held); err == nil {
+			if !same {
+				return errChanged
+			}
+			rep.Digest = p.Digest
+		}
+	} else if err = w.hashFile(abs); err == nil {
+		rep.Digest = w.sum
+	}
+	if err != nil {
+		rep.Class, rep.Err = ClassUnreadable, err.Error()
+	}
+	return w.record(rep)
+}
+
+// sameBytes streams one file through the verifying walk's buffer and
+// reports whether its contents are exactly held: each chunk must equal the
+// matching slice of held, and the file must end where held does.
+func (w *walker) sameBytes(name string, held []byte) (bool, error) {
+	f, err := openFile(name)
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	off := 0
+	for {
+		n, err := f.Read(w.buf)
+		if n > len(held)-off || !bytes.Equal(w.buf[:n], held[off:off+n]) {
+			return false, nil
+		}
+		off += n
+		if err == io.EOF {
+			return off == len(held), nil
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+}
+
 // hashFile streams one file through the verifying walk's hash and buffer
 // into w.sum.
 func (w *walker) hashFile(name string) error {
@@ -353,9 +429,9 @@ func (w *walker) hashFile(name string) error {
 }
 
 // record appends a classified report, or, on a verifying walk, matches the
-// observation against the earlier walk's next report. A hashed file carries
+// observation against the earlier walk's next report. A read file carries
 // no class: its class and any parse error follow from the path and bytes,
-// so path and digest decide (a zero digest matches no hashed file).
+// so path and digest decide (a zero digest matches no read file).
 // Everything else — read failures, dangling links, symlinked directories —
 // must repeat exactly.
 func (w *walker) record(rep FileReport) error {
@@ -363,10 +439,10 @@ func (w *walker) record(rep FileReport) error {
 		w.res.Files = append(w.res.Files, rep)
 		return nil
 	}
-	if w.seen == len(w.prev) {
+	if w.seen == len(w.res.Files) {
 		return errChanged
 	}
-	p := &w.prev[w.seen]
+	p := &w.res.Files[w.seen]
 	w.seen++
 	same := p.Path == rep.Path && p.Size == rep.Size && p.Digest == rep.Digest
 	if rep.Class != "" {

@@ -51,7 +51,7 @@ func multiArchFatbinLib(t *testing.T, soname string) []byte {
 
 // buildLib assembles a minimal shared object with the given soname and
 // DT_NEEDED list.
-func buildLib(t *testing.T, soname string, needed ...string) []byte {
+func buildLib(t testing.TB, soname string, needed ...string) []byte {
 	t.Helper()
 	b := elfx.NewBuilder(soname)
 	b.AddFunction(strings.NewReplacer(".", "_", "-", "_").Replace(soname)+"_fn", 32)
@@ -65,7 +65,7 @@ func buildLib(t *testing.T, soname string, needed ...string) []byte {
 	return data
 }
 
-func write(t *testing.T, dir, rel string, data []byte) {
+func write(t testing.TB, dir, rel string, data []byte) {
 	t.Helper()
 	p := filepath.Join(dir, filepath.FromSlash(rel))
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
